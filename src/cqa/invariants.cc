@@ -1,9 +1,11 @@
 #include "cqa/invariants.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <set>
+#include <tuple>
 #include <vector>
 
 namespace cqa::audit {
@@ -61,6 +63,25 @@ bool CheckSynopsis(const Synopsis& synopsis, std::string* why) {
   for (size_t i = 0; i < weights.size(); ++i) {
     if (!(weights[i] > 0.0) || weights[i] > 1.0) {
       return Fail(why, At("image weight outside (0, 1], image", i));
+    }
+  }
+  return true;
+}
+
+bool CheckImagesDistinct(const PreprocessResult& result, std::string* why) {
+  std::set<std::vector<std::tuple<size_t, size_t, size_t>>> seen;
+  for (size_t a = 0; a < result.answers().size(); ++a) {
+    const Synopsis& synopsis = result.answers()[a].synopsis;
+    for (const Synopsis::Image& image : synopsis.images()) {
+      std::vector<std::tuple<size_t, size_t, size_t>> facts;
+      for (const Synopsis::ImageFact& f : image.facts) {
+        const Synopsis::Block& b = synopsis.blocks()[f.block];
+        facts.emplace_back(b.relation_id, b.block_id, f.tid);
+      }
+      std::sort(facts.begin(), facts.end());
+      if (!seen.insert(std::move(facts)).second) {
+        return Fail(why, At("image occurs twice, answer", a));
+      }
     }
   }
   return true;

@@ -10,6 +10,7 @@
 #include "cqa/coverage.h"
 #include "cqa/monte_carlo.h"
 #include "cqa/opt_estimate.h"
+#include "cqa/preprocess.h"
 #include "cqa/sampler.h"
 #include "cqa/symbolic_space.h"
 #include "cqa/synopsis.h"
@@ -30,6 +31,13 @@ namespace cqa::audit {
 /// with in-range block/tid references; images pairwise distinct; every
 /// image weight in (0, 1].
 bool CheckSynopsis(const Synopsis& synopsis, std::string* why);
+
+/// No image occurs twice in a preprocessing result, within one answer's
+/// synopsis or across answers, comparing images as sets of (relation,
+/// block, tid) facts. The fold relies on this for self-join-free queries,
+/// whose images it neither dedups nor counts apart (distinct
+/// homomorphisms of such a query have distinct images).
+bool CheckImagesDistinct(const PreprocessResult& result, std::string* why);
 
 /// The space's cached weights are exactly the synopsis image weights and
 /// total_weight() is their sum (the |S•|/|db(B)| conversion factor every

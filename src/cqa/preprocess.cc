@@ -1,6 +1,7 @@
 #include "cqa/preprocess.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -33,21 +34,6 @@ struct GlobalFact {
   }
 };
 
-/// Order-insensitive only up to the sort BuildSynopses applies to every
-/// image before insertion, so equal images hash equal. SplitMix64 mixes
-/// each coordinate; a plain XOR would collide permuted fact sets.
-struct GlobalImageHash {
-  size_t operator()(const std::vector<GlobalFact>& image) const {
-    uint64_t h = SplitMix64(image.size());
-    for (const GlobalFact& g : image) {
-      h = SplitMix64(h ^ g.relation_id);
-      h = SplitMix64(h ^ g.block_id);
-      h = SplitMix64(h ^ g.tid);
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
 /// Per-answer builder mapping global blocks to local synopsis blocks.
 struct SynopsisBuilder {
   Synopsis synopsis;
@@ -57,7 +43,64 @@ struct SynopsisBuilder {
     // Relations are few (< 2^10); block ids fit comfortably in 54 bits.
     return (relation_id << 54) | block_id;
   }
+
+  /// The global coordinates of fact `f` of a stored image.
+  GlobalFact Global(const Synopsis::ImageFact& f) const {
+    const Synopsis::Block& b = synopsis.blocks()[f.block];
+    return GlobalFact{b.relation_id, b.block_id, f.tid};
+  }
 };
+
+/// The globally distinct images of a query with a repeated relation, as a
+/// hash set of references (answer << 32 | image) into the synopses being
+/// built: no image is copied to dedup it. Two references are equal when
+/// their images hold the same global facts; the hash sums per-fact mixes,
+/// so it does not depend on the local block order a synopsis stores the
+/// facts in.
+struct ImageRefs {
+  const std::vector<SynopsisBuilder>* builders;
+
+  const SynopsisBuilder& Builder(uint64_t ref) const {
+    return (*builders)[ref >> 32];
+  }
+  const std::vector<Synopsis::ImageFact>& Facts(uint64_t ref) const {
+    return Builder(ref).synopsis.images()[ref & UINT32_MAX].facts;
+  }
+
+  size_t operator()(uint64_t ref) const {
+    uint64_t h = 0;
+    for (const Synopsis::ImageFact& f : Facts(ref)) {
+      const GlobalFact g = Builder(ref).Global(f);
+      h += SplitMix64(
+          SplitMix64(SynopsisBuilder::PackKey(g.relation_id, g.block_id)) ^
+          g.tid);
+    }
+    return static_cast<size_t>(h);
+  }
+
+  bool operator()(uint64_t a, uint64_t b) const {
+    const std::vector<Synopsis::ImageFact>& fa = Facts(a);
+    const std::vector<Synopsis::ImageFact>& fb = Facts(b);
+    if (fa.size() != fb.size()) return false;
+    // Images hold a handful of facts: a quadratic scan beats sorting.
+    return std::all_of(fa.begin(), fa.end(), [&](const Synopsis::ImageFact& f) {
+      const GlobalFact g = Builder(a).Global(f);
+      return std::any_of(fb.begin(), fb.end(),
+                         [&](const Synopsis::ImageFact& e) {
+                           return Builder(b).Global(e) == g;
+                         });
+    });
+  }
+};
+
+/// True iff no relation occurs in two atoms of `q`.
+bool IsSelfJoinFree(const ConjunctiveQuery& q) {
+  std::unordered_set<size_t> relations;
+  for (const Atom& atom : q.atoms()) {
+    if (!relations.insert(atom.relation_id).second) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -65,26 +108,6 @@ double PreprocessResult::Balance() const {
   if (answers_.empty() || stats_.num_distinct_images == 0) return 0.0;
   return static_cast<double>(answers_.size()) /
          static_cast<double>(stats_.num_distinct_images);
-}
-
-std::vector<FactRef> PreprocessResult::ImageFactRefs() const {
-  // Dedup through a hash set (O(1) inserts vs the O(log n) of a tree),
-  // then sort once: callers rely on the deterministic order.
-  std::unordered_set<FactRef, FactRefHash> facts;
-  for (const AnswerSynopsis& as : answers_) {
-    const std::vector<Synopsis::Block>& blocks = as.synopsis.blocks();
-    for (const Synopsis::Image& image : as.synopsis.images()) {
-      for (const Synopsis::ImageFact& f : image.facts) {
-        const Synopsis::Block& b = blocks[f.block];
-        size_t row =
-            block_index_.relation(b.relation_id).block(b.block_id)[f.tid];
-        facts.insert(FactRef{b.relation_id, row});
-      }
-    }
-  }
-  std::vector<FactRef> sorted(facts.begin(), facts.end());
-  std::sort(sorted.begin(), sorted.end());
-  return sorted;
 }
 
 PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
@@ -102,60 +125,89 @@ PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
   CQA_AUDIT(audit::CheckBlockPartition, db, block_index);
   PreprocessStats stats;
 
+  // For a self-join-free Q each atom maps into its own relation, so an
+  // image fixes the fact of every atom and with it the homomorphism:
+  // distinct homomorphisms have distinct images, and no image can put two
+  // facts into one block. Such a fold needs neither dedup nor the
+  // consistency check. Its images come out sorted when the atoms are
+  // visited in relation order.
+  const bool self_join_free = IsSelfJoinFree(q);
+  std::vector<size_t> atoms_by_relation(q.NumAtoms());
+  std::iota(atoms_by_relation.begin(), atoms_by_relation.end(), 0);
+  std::sort(atoms_by_relation.begin(), atoms_by_relation.end(),
+            [&](size_t a, size_t b) {
+              return q.atom(a).relation_id < q.atom(b).relation_id;
+            });
+
   std::unordered_map<Tuple, size_t, TupleHash> answer_index;
   std::vector<AnswerSynopsis> answers;
   std::vector<SynopsisBuilder> builders;
-  std::unordered_set<std::vector<GlobalFact>, GlobalImageHash>
-      distinct_images;
+  const ImageRefs image_refs{&builders};
+  std::unordered_set<uint64_t, ImageRefs, ImageRefs> distinct_images(
+      0, image_refs, image_refs);
 
   CqEvaluator evaluator(&db, cache);
   std::vector<GlobalFact> image;
+  // Scratch answer tuple: looked up before anything is inserted, so a
+  // homomorphism of a known answer allocates no map node.
+  Tuple answer(q.answer_vars().size());
   evaluator.ForEachHomomorphism(q, [&](const Homomorphism& h) {
     ++stats.num_homomorphisms;
     // Translate the image to (rid, bid, tid) coordinates and check
     // consistency: h(Q) |= Σ iff no block receives two distinct tuples.
     image.clear();
-    for (const FactRef& f : h.image) {
+    for (size_t atom : atoms_by_relation) {
+      const FactRef& f = h.image[atom];
       const BlockAnnotation& ann =
           block_index.relation(f.relation_id).annotation(f.row);
       image.push_back(GlobalFact{f.relation_id, ann.block_id, ann.tuple_id});
     }
-    std::sort(image.begin(), image.end());
-    image.erase(std::unique(image.begin(), image.end()), image.end());
-    for (size_t i = 1; i < image.size(); ++i) {
-      if (image[i].relation_id == image[i - 1].relation_id &&
-          image[i].block_id == image[i - 1].block_id) {
-        return true;  // Inconsistent image; skip.
+    if (!self_join_free) {
+      std::sort(image.begin(), image.end());
+      image.erase(std::unique(image.begin(), image.end()), image.end());
+      for (size_t i = 1; i < image.size(); ++i) {
+        if (image[i].relation_id == image[i - 1].relation_id &&
+            image[i].block_id == image[i - 1].block_id) {
+          return true;  // Inconsistent image; skip.
+        }
       }
     }
 
-    Tuple answer = h.AnswerTuple(q);
-    auto [it, inserted] = answer_index.emplace(answer, builders.size());
-    if (inserted) {
-      answers.push_back(AnswerSynopsis{std::move(answer), Synopsis()});
+    for (size_t i = 0; i < answer.size(); ++i) {
+      answer[i] = h.assignment[q.answer_vars()[i]];
+    }
+    auto it = answer_index.find(answer);
+    if (it == answer_index.end()) {
+      it = answer_index.emplace(answer, builders.size()).first;
+      answers.push_back(AnswerSynopsis{answer, Synopsis()});
       builders.emplace_back();
     }
-    SynopsisBuilder& builder = builders[it->second];
+    const size_t answer_id = it->second;
+    SynopsisBuilder& builder = builders[answer_id];
 
-    std::vector<Synopsis::ImageFact> local_facts;
-    local_facts.reserve(image.size());
+    std::vector<Synopsis::ImageFact> facts;
+    facts.reserve(image.size());
     for (const GlobalFact& g : image) {
-      size_t key = SynopsisBuilder::PackKey(g.relation_id, g.block_id);
-      auto [bit, block_inserted] =
-          builder.local_block.emplace(key, builder.synopsis.NumBlocks());
-      if (block_inserted) {
-        size_t size =
+      const size_t key = SynopsisBuilder::PackKey(g.relation_id, g.block_id);
+      auto bit = builder.local_block.find(key);
+      if (bit == builder.local_block.end()) {
+        const size_t size =
             block_index.relation(g.relation_id).block(g.block_id).size();
-        builder.synopsis.AddBlock(
-            Synopsis::Block{size, g.relation_id, g.block_id});
+        bit = builder.local_block
+                  .emplace(key, builder.synopsis.AddBlock(Synopsis::Block{
+                                    size, g.relation_id, g.block_id}))
+                  .first;
       }
-      local_facts.push_back(
-          Synopsis::ImageFact{static_cast<uint32_t>(bit->second),
-                              static_cast<uint32_t>(g.tid)});
+      facts.push_back(Synopsis::ImageFact{static_cast<uint32_t>(bit->second),
+                                          static_cast<uint32_t>(g.tid)});
     }
-    if (builder.synopsis.AddImage(std::move(local_facts))) {
+    if (self_join_free) {
+      builder.synopsis.AddDistinctImage(std::move(facts));
       ++stats.num_images;
-      distinct_images.insert(image);
+    } else if (builder.synopsis.AddImage(std::move(facts))) {
+      ++stats.num_images;
+      distinct_images.insert(answer_id << 32 |
+                             (builder.synopsis.NumImages() - 1));
     }
     return true;
   });
@@ -167,12 +219,17 @@ PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
     CQA_OBS_OBSERVE("preprocess.synopsis_blocks",
                     answers[i].synopsis.NumBlocks());
   }
-  stats.num_distinct_images = distinct_images.size();
+  stats.num_distinct_images =
+      self_join_free ? stats.num_images : distinct_images.size();
   stats.seconds = watch.ElapsedSeconds();
   CQA_OBS_COUNT_N("preprocess.homomorphisms", stats.num_homomorphisms);
   CQA_OBS_COUNT_N("preprocess.consistent_images", stats.num_images);
   CQA_OBS_COUNT_N("preprocess.answers", answers.size());
-  return PreprocessResult(std::move(answers), std::move(block_index), stats);
+  PreprocessResult result(std::move(answers), std::move(block_index), stats);
+  // The proof obligation of the skipped dedup: no image of a
+  // self-join-free query occurs twice, within an answer or across answers.
+  if (self_join_free) CQA_AUDIT(audit::CheckImagesDistinct, result);
+  return result;
 }
 
 }  // namespace cqa

@@ -58,10 +58,6 @@ class PreprocessResult {
   /// whose every answer has a single witnessing image has balance 1.
   double Balance() const;
 
-  /// Distinct facts appearing in some consistent homomorphic image — the
-  /// query-relevant portion of D the noise generator perturbs (§6.1).
-  std::vector<FactRef> ImageFactRefs() const;
-
  private:
   std::vector<AnswerSynopsis> answers_;
   BlockIndex block_index_;

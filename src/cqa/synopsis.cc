@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/macros.h"
+#include "common/rng.h"
 
 namespace cqa {
 
@@ -14,21 +15,61 @@ size_t Synopsis::AddBlock(Block block) {
   return blocks_.size() - 1;
 }
 
-bool Synopsis::AddImage(std::vector<ImageFact> facts) {
-  CQA_CHECK_MSG(!facts.empty(), "an image must contain at least one fact");
-  std::sort(facts.begin(), facts.end());
-  facts.erase(std::unique(facts.begin(), facts.end()), facts.end());
-  for (size_t i = 0; i < facts.size(); ++i) {
-    CQA_CHECK(facts[i].block < blocks_.size());
-    CQA_CHECK(facts[i].tid < blocks_[facts[i].block].size);
+void Synopsis::Canonicalize(std::vector<ImageFact>* facts) const {
+  CQA_CHECK_MSG(!facts->empty(), "an image must contain at least one fact");
+  std::sort(facts->begin(), facts->end());
+  facts->erase(std::unique(facts->begin(), facts->end()), facts->end());
+  for (size_t i = 0; i < facts->size(); ++i) {
+    const ImageFact& f = (*facts)[i];
+    CQA_CHECK(f.block < blocks_.size());
+    CQA_CHECK(f.tid < blocks_[f.block].size);
     if (i > 0) {
-      CQA_CHECK_MSG(facts[i].block != facts[i - 1].block,
+      CQA_CHECK_MSG(f.block != (*facts)[i - 1].block,
                     "inconsistent image: two facts in one block");
     }
   }
-  if (!image_keys_.insert(facts).second) return false;
+}
+
+size_t Synopsis::FindSlot(const std::vector<ImageFact>& facts) const {
+  uint64_t h = SplitMix64(facts.size());
+  for (const ImageFact& f : facts) {
+    h = SplitMix64(h ^ ((static_cast<uint64_t>(f.block) << 32) | f.tid));
+  }
+  const size_t mask = image_slots_.size() - 1;
+  for (size_t slot = h & mask;; slot = (slot + 1) & mask) {
+    const uint32_t id = image_slots_[slot];
+    if (id == 0 || images_[id - 1].facts == facts) return slot;
+  }
+}
+
+void Synopsis::IndexImages() {
+  // Keep the load factor at most 1/2 so probe chains stay short.
+  if (2 * (images_.size() + 1) > image_slots_.size()) {
+    size_t capacity = 16;
+    while (capacity < 4 * (images_.size() + 1)) capacity *= 2;
+    image_slots_.assign(capacity, 0);
+    indexed_images_ = 0;
+  }
+  for (; indexed_images_ < images_.size(); ++indexed_images_) {
+    image_slots_[FindSlot(images_[indexed_images_].facts)] =
+        static_cast<uint32_t>(indexed_images_ + 1);
+  }
+}
+
+bool Synopsis::AddImage(std::vector<ImageFact> facts) {
+  Canonicalize(&facts);
+  IndexImages();
+  const size_t slot = FindSlot(facts);
+  if (image_slots_[slot] != 0) return false;
   images_.push_back(Image{std::move(facts)});
+  image_slots_[slot] = static_cast<uint32_t>(images_.size());
+  ++indexed_images_;
   return true;
+}
+
+void Synopsis::AddDistinctImage(std::vector<ImageFact> facts) {
+  Canonicalize(&facts);
+  images_.push_back(Image{std::move(facts)});
 }
 
 double Synopsis::LogDbSize() const {

@@ -8,7 +8,6 @@
 #define CQABENCH_CQA_SYNOPSIS_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -75,6 +74,12 @@ class Synopsis {
   /// Returns false if an identical image was already present (H is a set).
   bool AddImage(std::vector<ImageFact> facts);
 
+  /// Adds an image the caller knows to differ from every image present
+  /// (the preprocessing fold of a self-join-free query, where distinct
+  /// homomorphisms have distinct images). Validates like AddImage but
+  /// keeps no dedup index, so such a synopsis carries none.
+  void AddDistinctImage(std::vector<ImageFact> facts);
+
   /// log10 |db(B)| = Σ log10(block size).
   double LogDbSize() const;
 
@@ -97,10 +102,24 @@ class Synopsis {
   std::string DebugString() const;
 
  private:
+  /// Sorts, dedups and validates an image's facts.
+  void Canonicalize(std::vector<ImageFact>* facts) const;
+
+  /// Open-addressing slot of `facts`: the slot holding an equal image, or
+  /// the empty slot where it belongs.
+  size_t FindSlot(const std::vector<ImageFact>& facts) const;
+
+  /// Brings the dedup index up to date with images_ (images added through
+  /// AddDistinctImage are indexed on the next AddImage).
+  void IndexImages();
+
   std::vector<Block> blocks_;
   std::vector<Image> images_;
-  // Canonical (sorted) images already present, for set semantics.
-  std::set<std::vector<ImageFact>> image_keys_;
+  // Set semantics for AddImage: a hash table of image ids + 1 (0 = empty)
+  // over images_, so no image is stored twice. Holds the first
+  // `indexed_images_` images; empty unless AddImage was called.
+  std::vector<uint32_t> image_slots_;
+  size_t indexed_images_ = 0;
 };
 
 }  // namespace cqa

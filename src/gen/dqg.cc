@@ -31,6 +31,21 @@ std::vector<DqgResult> GenerateBalancedQueries(
   std::set<std::vector<std::tuple<size_t, size_t, size_t>>> distinct_images;
   std::vector<HomRecord> homs;
   std::unordered_set<Tuple, TupleHash> distinct_assignments;
+  // Projections may select any variable, but the evaluator binds only
+  // the ones the query itself reads; every variable's value is read from
+  // the image fact of the first atom it occurs in.
+  std::vector<std::pair<size_t, size_t>> occurrence(q.num_vars());
+  std::vector<bool> located(q.num_vars(), false);
+  for (size_t a = 0; a < q.NumAtoms(); ++a) {
+    const std::vector<Term>& terms = q.atom(a).terms;
+    for (size_t pos = 0; pos < terms.size(); ++pos) {
+      if (terms[pos].is_variable() && !located[terms[pos].var()]) {
+        located[terms[pos].var()] = true;
+        occurrence[terms[pos].var()] = {a, pos};
+      }
+    }
+  }
+  Tuple assignment(q.num_vars());
   CqEvaluator evaluator(&db, cache);
   evaluator.ForEachHomomorphism(q, [&](const Homomorphism& h) {
     std::vector<std::tuple<size_t, size_t, size_t>> image;
@@ -48,8 +63,13 @@ std::vector<DqgResult> GenerateBalancedQueries(
       }
     }
     distinct_images.insert(std::move(image));
-    if (distinct_assignments.insert(h.assignment).second) {
-      homs.push_back(HomRecord{h.assignment});
+    for (size_t v = 0; v < assignment.size(); ++v) {
+      const FactRef& f = h.image[occurrence[v].first];
+      assignment[v] = db.relation(f.relation_id).ValueAt(f.row,
+                                                         occurrence[v].second);
+    }
+    if (distinct_assignments.insert(assignment).second) {
+      homs.push_back(HomRecord{assignment});
     }
     return true;
   });

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <vector>
 
 #include "common/macros.h"
-#include "cqa/preprocess.h"
+#include "query/evaluator.h"
 
 namespace cqa {
 
@@ -21,6 +20,10 @@ void InflateBlocks(Database* db, size_t rid, const std::vector<size_t>& rows,
   if (rows.empty()) return;
   const Relation& rel = db->relation(rid);
   const RelationSchema& rs = rel.schema();
+  std::vector<size_t> non_key;
+  for (size_t col = 0; col < rs.arity(); ++col) {
+    if (!rs.IsKeyPosition(col)) non_key.push_back(col);
+  }
   const size_t original_size = rel.size();
 
   size_t num_selected = std::min(
@@ -31,38 +34,77 @@ void InflateBlocks(Database* db, size_t rid, const std::vector<size_t>& rows,
       rng.SampleWithoutReplacement(rows.size(), num_selected);
   stats->selected_facts += num_selected;
 
+  // The block's members so far, as source rows: the picked fact itself,
+  // then each donor whose non-key values a new fact copied. All members
+  // share the picked fact's key, so two of them coincide iff their
+  // sources agree on the non-key columns.
+  std::vector<size_t> members;
+  auto duplicates_member = [&](size_t donor) {
+    return std::any_of(members.begin(), members.end(), [&](size_t m) {
+      return std::all_of(non_key.begin(), non_key.end(), [&](size_t col) {
+        return rel.CellsEqual(donor, m, col);
+      });
+    });
+  };
   for (size_t pick : picks) {
     size_t row = rows[pick];
-    Tuple key = rel.KeyOf(row);
 
     size_t s = static_cast<size_t>(
         rng.UniformInt(static_cast<int64_t>(options.min_block_size),
                        static_cast<int64_t>(options.max_block_size)));
-    std::unordered_set<Tuple, TupleHash> block_members;
-    block_members.insert(rel.row(row));
+    members.assign(1, row);
     for (size_t j = 0; j + 1 < s; ++j) {
       // Donor: a random original fact of R with a different key value,
       // so the copied non-key values keep joining like real data.
-      Tuple candidate;
+      size_t donor = 0;
       bool found = false;
       for (int attempt = 0; attempt < 32 && !found; ++attempt) {
-        size_t donor = static_cast<size_t>(
+        donor = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(original_size) - 1));
-        if (rel.KeyOf(donor) == key) continue;
-        candidate = rel.row(donor);
-        for (size_t i = 0; i < rs.key_positions().size(); ++i) {
-          candidate[rs.key_positions()[i]] = key[i];
-        }
+        if (rel.SameKey(donor, row)) continue;
         // Databases are sets: skip duplicates within the block.
-        if (block_members.count(candidate) > 0) continue;
-        found = true;
+        found = !duplicates_member(donor);
       }
       if (!found) break;  // Not enough distinct donors; leave block short.
-      block_members.insert(candidate);
-      db->Insert(rid, std::move(candidate));
+      members.push_back(donor);
+      Tuple fact = rel.row(donor);
+      for (size_t pos : rs.key_positions()) fact[pos] = rel.ValueAt(row, pos);
+      db->Insert(rid, std::move(fact));
       ++stats->facts_added;
     }
   }
+}
+
+/// Step 1 of §6.1: per relation, a bitmap of the rows that occur in some
+/// consistent homomorphic image of Q, i.e. the facts of syn_{Σ,Q}(D),
+/// found by a bare enumeration without building any synopsis. An image
+/// is inconsistent iff two of its facts are distinct rows of one
+/// relation with the same key, which only atoms sharing a relation can
+/// produce: queries without self-joins check nothing.
+std::vector<std::vector<bool>> RelevantRows(const Database& db,
+                                            const ConjunctiveQuery& q) {
+  std::vector<std::vector<bool>> relevant(db.NumRelations());
+  std::vector<std::pair<size_t, size_t>> self_joins;
+  for (size_t i = 0; i < q.NumAtoms(); ++i) {
+    const size_t rid = q.atom(i).relation_id;
+    relevant[rid].assign(db.relation(rid).size(), false);
+    for (size_t j = 0; j < i; ++j) {
+      if (q.atom(j).relation_id == rid) self_joins.emplace_back(j, i);
+    }
+  }
+  CqEvaluator evaluator(&db);
+  evaluator.ForEachHomomorphism(q, [&](const Homomorphism& h) {
+    for (const auto& [i, j] : self_joins) {
+      const FactRef& a = h.image[i];
+      const FactRef& b = h.image[j];
+      if (a.row != b.row && db.relation(a.relation_id).SameKey(a.row, b.row)) {
+        return true;  // Inconsistent image; its facts stay irrelevant.
+      }
+    }
+    for (const FactRef& f : h.image) relevant[f.relation_id][f.row] = true;
+    return true;
+  });
+  return relevant;
 }
 
 }  // namespace
@@ -75,18 +117,18 @@ NoiseStats AddQueryAwareNoise(Database* db, const ConjunctiveQuery& q,
   CQA_CHECK(options.min_block_size <= options.max_block_size);
   NoiseStats stats;
 
-  // Step 1: the query-relevant facts, grouped per relation. Relations
-  // without a key cannot host conflicts and are skipped.
-  PreprocessResult syn = BuildSynopses(*db, q);
-  std::vector<std::vector<size_t>> relevant(db->NumRelations());
-  for (const FactRef& f : syn.ImageFactRefs()) {
-    if (!db->relation(f.relation_id).schema().has_key()) continue;
-    relevant[f.relation_id].push_back(f.row);
-    ++stats.relevant_facts;
-  }
-
+  // Step 1: the query-relevant facts, grouped per relation in row
+  // order. Relations without a key cannot host conflicts and are skipped.
+  const std::vector<std::vector<bool>> relevant = RelevantRows(*db, q);
+  std::vector<size_t> rows;
   for (size_t rid = 0; rid < relevant.size(); ++rid) {
-    InflateBlocks(db, rid, relevant[rid], options, rng, &stats);
+    if (!db->relation(rid).schema().has_key()) continue;
+    rows.clear();
+    for (size_t row = 0; row < relevant[rid].size(); ++row) {
+      if (relevant[rid][row]) rows.push_back(row);
+    }
+    stats.relevant_facts += rows.size();
+    InflateBlocks(db, rid, rows, options, rng, &stats);
   }
   // The injected facts sat in the relations' tails; seal them into chunks
   // so the noisy instance is as columnar as the base it extends.

@@ -93,115 +93,139 @@ std::vector<size_t> PlanAtomOrder(const Database& db,
   return order;
 }
 
+/// Variables some reader looks at: those in the head (AnswerTuple) and
+/// those occurring twice or more in the body (join and lookup keys). Every
+/// other variable occurs once, is never compared, and is never bound.
+std::vector<bool> ReadVariables(const ConjunctiveQuery& q) {
+  std::vector<size_t> occurrences(q.num_vars(), 0);
+  for (const Atom& atom : q.atoms()) {
+    for (const Term& t : atom.terms) {
+      if (t.is_variable()) ++occurrences[t.var()];
+    }
+  }
+  std::vector<bool> read(q.num_vars(), false);
+  for (size_t v = 0; v < q.num_vars(); ++v) read[v] = occurrences[v] >= 2;
+  for (size_t v : q.answer_vars()) read[v] = true;
+  return read;
+}
+
+/// How one atom is matched at its depth of the join order. The order is
+/// fixed, so which terms are bound is known before any row is read.
+struct AtomPlan {
+  size_t atom_index = 0;
+  size_t relation_id = 0;
+  /// Positions holding a constant or a variable bound by an earlier atom;
+  /// rows are found by an index lookup (or scan) on them, so they need no
+  /// further check.
+  std::vector<size_t> key_positions;
+  /// The lookup key: constants filled at planning, the slots listed in
+  /// `key_vars` refilled from the assignment on every probe.
+  Tuple key;
+  std::vector<std::pair<size_t, size_t>> key_vars;  // (key slot, variable)
+  /// The remaining variable positions that matter, in position order:
+  /// the first occurrence of a read variable binds it, a repeat within
+  /// the atom (R(x, x)) checks it. Unread variables appear nowhere.
+  struct Step {
+    size_t pos;
+    size_t var;
+    bool bind;
+  };
+  std::vector<Step> steps;
+  /// Depth 0 with an all-constant key: a statistics-pruned column scan
+  /// beats building a hash index over the whole relation.
+  bool scan = false;
+  const RelationIndex* index = nullptr;  // Resolved on the first probe.
+};
+
+std::vector<AtomPlan> PlanAtoms(const Database& db,
+                                const ConjunctiveQuery& q) {
+  const std::vector<bool> read = ReadVariables(q);
+  std::vector<bool> bound(q.num_vars(), false);
+  std::vector<AtomPlan> plans;
+  for (size_t atom_index : PlanAtomOrder(db, q)) {
+    const Atom& atom = q.atom(atom_index);
+    AtomPlan plan;
+    plan.atom_index = atom_index;
+    plan.relation_id = atom.relation_id;
+    bool all_constant = true;
+    for (size_t pos = 0; pos < atom.terms.size(); ++pos) {
+      const Term& t = atom.terms[pos];
+      if (t.is_constant()) {
+        plan.key_positions.push_back(pos);
+        plan.key.push_back(t.constant());
+      } else if (bound[t.var()]) {
+        plan.key_vars.emplace_back(plan.key.size(), t.var());
+        plan.key_positions.push_back(pos);
+        plan.key.emplace_back();
+        all_constant = false;
+      }
+    }
+    std::vector<bool> bound_here(q.num_vars(), false);
+    for (size_t pos = 0; pos < atom.terms.size(); ++pos) {
+      const Term& t = atom.terms[pos];
+      if (t.is_constant() || bound[t.var()] || !read[t.var()]) continue;
+      plan.steps.push_back(AtomPlan::Step{pos, t.var(), !bound_here[t.var()]});
+      bound_here[t.var()] = true;
+    }
+    for (const Term& t : atom.terms) {
+      if (t.is_variable()) bound[t.var()] = true;
+    }
+    plan.scan = plans.empty() && all_constant && !plan.key_positions.empty();
+    plans.push_back(std::move(plan));
+  }
+  return plans;
+}
+
 /// Backtracking state for one evaluation.
 struct SearchState {
   const Database* db;
-  const ConjunctiveQuery* q;
   DatabaseIndexCache* cache;
-  std::vector<size_t> order;
-  std::vector<bool> bound;
+  std::vector<AtomPlan> plans;
   Homomorphism h;
   const HomomorphismCallback* fn;
-  bool stopped = false;
 
+  /// Matches the atoms from `depth` on; false iff the callback stopped
+  /// the enumeration.
   bool MatchAtom(size_t depth) {
-    if (depth == order.size()) {
-      stopped = !(*fn)(h);
-      return !stopped;
-    }
-    size_t atom_index = order[depth];
-    const Atom& atom = q->atom(atom_index);
-    const Relation& rel = db->relation(atom.relation_id);
+    if (depth == plans.size()) return (*fn)(h);
+    AtomPlan& plan = plans[depth];
+    const Relation& rel = db->relation(plan.relation_id);
 
-    // Which positions are bound at this point?
-    std::vector<size_t> bound_positions;
-    for (size_t pos = 0; pos < atom.terms.size(); ++pos) {
-      const Term& t = atom.terms[pos];
-      if (t.is_constant() || bound[t.var()]) bound_positions.push_back(pos);
-    }
-
+    // Unifies the row's remaining terms in place (no tuple
+    // materialization, no string copies), then descends.
     auto try_row = [&](size_t row) -> bool {
-      // Unify against the fact's columns in place (no tuple
-      // materialization, no string copies); repeated fresh variables
-      // within the atom (e.g. R(x, x)) bind on first occurrence.
-      std::vector<size_t> newly_bound;
-      bool ok = true;
-      for (size_t pos = 0; pos < atom.terms.size(); ++pos) {
-        const Term& t = atom.terms[pos];
-        if (t.is_constant()) {
-          if (!rel.ValueEquals(row, pos, t.constant())) {
-            ok = false;
-            break;
-          }
-        } else if (bound[t.var()]) {
-          if (!rel.ValueEquals(row, pos, h.assignment[t.var()])) {
-            ok = false;
-            break;
-          }
-        } else {
-          bound[t.var()] = true;
-          h.assignment[t.var()] = rel.ValueAt(row, pos);
-          newly_bound.push_back(t.var());
+      for (const AtomPlan::Step& step : plan.steps) {
+        if (step.bind) {
+          h.assignment[step.var] = rel.ValueAt(row, step.pos);
+        } else if (!rel.ValueEquals(row, step.pos, h.assignment[step.var])) {
+          return true;
         }
       }
-      if (ok) {
-        h.image[atom_index] = FactRef{atom.relation_id, row};
-        if (!MatchAtom(depth + 1)) ok = false;
-      }
-      for (size_t v : newly_bound) bound[v] = false;
-      return ok || !stopped;
+      h.image[plan.atom_index] = FactRef{plan.relation_id, row};
+      return MatchAtom(depth + 1);
     };
 
-    if (bound_positions.empty()) {
+    if (plan.key_positions.empty()) {
       for (size_t row = 0; row < rel.size(); ++row) {
-        if (!try_row(row)) {
-          if (stopped) return false;
-        }
-        if (stopped) return false;
+        if (!try_row(row)) return false;
       }
       return true;
     }
-
-    // The first atom is matched exactly once, so when its bound positions
-    // are all constants a statistics-pruned column scan beats building a
-    // hash index over the whole relation. Enumeration stays in ascending
-    // row order — the same order the index bucket would yield.
-    if (depth == 0) {
-      bool all_constant = true;
-      for (size_t pos : bound_positions) {
-        if (!atom.terms[pos].is_constant()) {
-          all_constant = false;
-          break;
-        }
-      }
-      if (all_constant) {
-        Tuple key;
-        key.reserve(bound_positions.size());
-        for (size_t pos : bound_positions) {
-          key.push_back(atom.terms[pos].constant());
-        }
-        rel.ScanMatching(bound_positions, key, [&](size_t row) {
-          try_row(row);
-          return !stopped;
-        });
-        return !stopped;
-      }
+    if (plan.scan) {
+      // Enumeration stays in ascending row order — the same order the
+      // index bucket would yield.
+      return rel.ScanMatching(plan.key_positions, plan.key, try_row);
     }
-
-    // Index lookup on the bound positions.
-    const RelationIndex& index =
-        cache->Get(atom.relation_id, bound_positions);
-    Tuple key;
-    key.reserve(bound_positions.size());
-    for (size_t pos : bound_positions) {
-      const Term& t = atom.terms[pos];
-      key.push_back(t.is_constant() ? t.constant() : h.assignment[t.var()]);
+    if (plan.index == nullptr) {
+      plan.index = &cache->Get(plan.relation_id, plan.key_positions);
     }
-    const std::vector<size_t>* rows = index.Lookup(key);
+    for (const auto& [slot, var] : plan.key_vars) {
+      plan.key[slot] = h.assignment[var];
+    }
+    const std::vector<size_t>* rows = plan.index->Lookup(plan.key);
     if (rows == nullptr) return true;
     for (size_t row : *rows) {
-      try_row(row);
-      if (stopped) return false;
+      if (!try_row(row)) return false;
     }
     return true;
   }
@@ -214,10 +238,8 @@ void CqEvaluator::ForEachHomomorphism(const ConjunctiveQuery& q,
   if (q.NumAtoms() == 0) return;
   SearchState state;
   state.db = db_;
-  state.q = &q;
   state.cache = cache_;
-  state.order = PlanAtomOrder(*db_, q);
-  state.bound.assign(q.num_vars(), false);
+  state.plans = PlanAtoms(*db_, q);
   state.h.assignment.assign(q.num_vars(), Value());
   state.h.image.assign(q.NumAtoms(), FactRef{});
   state.fn = &fn;

@@ -60,10 +60,13 @@ class DatabaseIndexCache {
   std::unordered_map<Key, std::unique_ptr<RelationIndex>, KeyHash> cache_;
 };
 
-/// A homomorphism from a CQ to a database: a total assignment of the query
+/// A homomorphism from a CQ to a database: the assignment of the query
 /// variables plus, per atom, the fact the atom is mapped onto (its image).
 struct Homomorphism {
-  /// Value of each variable, indexed by variable id.
+  /// Value of each variable, indexed by variable id. Only the variables
+  /// something reads are bound: answer variables and variables occurring
+  /// twice or more in the body. Any other entry is unspecified; its value
+  /// is in the image fact of the one atom it occurs in.
   std::vector<Value> assignment;
   /// Image fact of each atom, in atom order.
   std::vector<FactRef> image;

@@ -1,6 +1,7 @@
 #include "serve/json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -158,6 +159,16 @@ class Parser {
       pos_ = start;
       return Fail("bad number");
     }
+    // A plain non-negative integer literal keeps its exact value: a
+    // double holds only 53 bits, and seeds are 64.
+    if (token.find_first_not_of("0123456789") == std::string::npos) {
+      errno = 0;
+      const unsigned long long exact = std::strtoull(token.c_str(), &end, 10);
+      if (errno == 0 && *end == '\0') {
+        *out = JsonValue::MakeUint64(exact);
+        return true;
+      }
+    }
     *out = JsonValue::MakeNumber(value);
     return true;
   }
@@ -235,6 +246,12 @@ void SerializeTo(const JsonValue& v, std::string* out) {
     case JsonValue::Kind::kNumber: {
       char buf[32];
       const double n = v.AsNumber();
+      if (v.is_exact_uint64()) {
+        std::snprintf(buf, sizeof(buf), "%llu",
+                      static_cast<unsigned long long>(v.AsUint64(0)));
+        out->append(buf);
+        return;
+      }
       // Integers print exactly (seeds, counts, error codes); everything
       // else gets round-trippable precision.
       if (n == static_cast<double>(static_cast<long long>(n)) &&
@@ -306,6 +323,19 @@ double JsonValue::GetNumber(const std::string& key, double fallback) const {
   return (v != nullptr && v->is_number()) ? v->AsNumber() : fallback;
 }
 
+uint64_t JsonValue::AsUint64(uint64_t fallback) const {
+  if (exact_) return uint_;
+  // 2^64 is exactly representable; every double below it converts.
+  if (!(number_ >= 0.0) || number_ >= 18446744073709551616.0) return fallback;
+  return static_cast<uint64_t>(number_);
+}
+
+uint64_t JsonValue::GetUint64(const std::string& key,
+                              uint64_t fallback) const {
+  const JsonValue* v = Find(key);
+  return (v != nullptr && v->is_number()) ? v->AsUint64(fallback) : fallback;
+}
+
 bool JsonValue::GetBool(const std::string& key, bool fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->is_bool()) ? v->AsBool() : fallback;
@@ -328,6 +358,13 @@ JsonValue JsonValue::MakeNumber(double n) {
   JsonValue v;
   v.kind_ = Kind::kNumber;
   v.number_ = n;
+  return v;
+}
+
+JsonValue JsonValue::MakeUint64(uint64_t n) {
+  JsonValue v = MakeNumber(static_cast<double>(n));
+  v.exact_ = true;
+  v.uint_ = n;
   return v;
 }
 

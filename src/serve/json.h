@@ -3,8 +3,9 @@
 // serving layer also has to *parse* untrusted request payloads, so this
 // is a strict parser: it rejects trailing garbage, unterminated strings,
 // bad escapes, and nesting deeper than a fixed bound (stack safety
-// against hostile frames). Numbers are stored as doubles — every field
-// the protocol carries (seeds included) fits in the 53-bit mantissa.
+// against hostile frames). Numbers are stored as doubles; a non-negative
+// integer literal also keeps its exact value up to 2^64 - 1, so 64-bit
+// fields such as seeds survive a round trip that a double would round.
 #ifndef CQABENCH_SERVE_JSON_H_
 #define CQABENCH_SERVE_JSON_H_
 
@@ -33,9 +34,15 @@ class JsonValue {
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_number() const { return kind_ == Kind::kNumber; }
   bool is_bool() const { return kind_ == Kind::kBool; }
+  /// A number holding an exact unsigned integer (see AsUint64).
+  bool is_exact_uint64() const { return exact_; }
 
   bool AsBool() const { return bool_; }
   double AsNumber() const { return number_; }
+  /// The number as an unsigned integer: exact when it was parsed from (or
+  /// made as) a non-negative integer literal, else the truncated double,
+  /// or `fallback` when the double is negative or beyond 2^64.
+  uint64_t AsUint64(uint64_t fallback) const;
   const std::string& AsString() const { return string_; }
   const std::vector<JsonValue>& AsArray() const { return array_; }
   const std::vector<std::pair<std::string, JsonValue>>& AsObject() const {
@@ -49,6 +56,7 @@ class JsonValue {
   std::string GetString(const std::string& key,
                         const std::string& fallback) const;
   double GetNumber(const std::string& key, double fallback) const;
+  uint64_t GetUint64(const std::string& key, uint64_t fallback) const;
   bool GetBool(const std::string& key, bool fallback) const;
 
   /// Compact serialization (no whitespace), suitable for framing.
@@ -58,6 +66,7 @@ class JsonValue {
   static JsonValue MakeNull() { return JsonValue(); }
   static JsonValue MakeBool(bool b);
   static JsonValue MakeNumber(double n);
+  static JsonValue MakeUint64(uint64_t n);  // Serializes exactly.
   static JsonValue MakeString(std::string s);
   static JsonValue MakeArray();
   static JsonValue MakeObject();
@@ -69,6 +78,8 @@ class JsonValue {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  bool exact_ = false;  // number_ came from the integer in uint_.
+  uint64_t uint_ = 0;
   std::string string_;
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;

@@ -281,8 +281,7 @@ std::string Request::ToJsonPayload() const {
     JsonValue trace = JsonValue::MakeObject();
     trace.Set("id", JsonValue::MakeString(trace_id));
     if (trace_parent != 0) {
-      trace.Set("parent",
-                JsonValue::MakeNumber(static_cast<double>(trace_parent)));
+      trace.Set("parent", JsonValue::MakeUint64(trace_parent));
     }
     obj.Set("trace", std::move(trace));
   }
@@ -294,7 +293,7 @@ std::string Request::ToJsonPayload() const {
     obj.Set("epsilon", JsonValue::MakeNumber(epsilon));
     obj.Set("delta", JsonValue::MakeNumber(delta));
     if (deadline_s > 0) obj.Set("deadline_s", JsonValue::MakeNumber(deadline_s));
-    obj.Set("seed", JsonValue::MakeNumber(static_cast<double>(seed)));
+    obj.Set("seed", JsonValue::MakeUint64(seed));
     if (threads > 1) obj.Set("threads", JsonValue::MakeNumber(threads));
     if (want_record) obj.Set("record", JsonValue::MakeBool(true));
   }
@@ -346,7 +345,7 @@ bool Request::FromJsonPayload(const std::string& payload, Request* out,
       *error = "trace parent must be a non-negative span id";
       return false;
     }
-    out->trace_parent = static_cast<uint64_t>(parent);
+    out->trace_parent = trace->GetUint64("parent", 0);
   }
   out->schema = root.GetString("schema", "tpch");
   out->data = root.GetString("data", "");
@@ -355,7 +354,7 @@ bool Request::FromJsonPayload(const std::string& payload, Request* out,
   out->epsilon = root.GetNumber("epsilon", 0.1);
   out->delta = root.GetNumber("delta", 0.25);
   out->deadline_s = root.GetNumber("deadline_s", 0.0);
-  out->seed = static_cast<uint64_t>(root.GetNumber("seed", 7));
+  out->seed = root.GetUint64("seed", 7);
   out->threads = static_cast<int>(root.GetNumber("threads", 1));
   out->want_record = root.GetBool("record", false);
   return ValidateRequestFields(out, code, error);

@@ -99,10 +99,50 @@ bool Relation::ValueEquals(size_t row, size_t col, const Value& v) const {
   return false;
 }
 
+bool Relation::CellsEqual(size_t a, size_t b, size_t col) const {
+  CQA_DCHECK(col < schema_->arity());
+  size_t offset_a = 0, offset_b = 0;
+  const size_t chunk_a = ChunkOf(a, &offset_a);
+  const size_t chunk_b = ChunkOf(b, &offset_b);
+  const TailColumn& tc = tail_[col];
+  switch (schema_->attribute(col).type) {
+    case ValueType::kInt: {
+      auto at = [&](size_t c, size_t offset) {
+        return c == kTailChunk ? tc.ints[offset]
+                               : chunks_[c].columns[col].IntAt(offset);
+      };
+      return at(chunk_a, offset_a) == at(chunk_b, offset_b);
+    }
+    case ValueType::kDouble: {
+      auto at = [&](size_t c, size_t offset) {
+        return c == kTailChunk ? tc.doubles[offset]
+                               : chunks_[c].columns[col].DoubleAt(offset);
+      };
+      return at(chunk_a, offset_a) == at(chunk_b, offset_b);
+    }
+    case ValueType::kString: {
+      auto at = [&](size_t c, size_t offset) -> const std::string& {
+        return c == kTailChunk ? tc.strings[offset]
+                               : chunks_[c].columns[col].StringAt(offset);
+      };
+      return at(chunk_a, offset_a) == at(chunk_b, offset_b);
+    }
+  }
+  return false;
+}
+
 bool Relation::RowsEqual(size_t a, size_t b) const {
   if (a == b) return true;
   for (size_t col = 0; col < schema_->arity(); ++col) {
-    if (!ValueEquals(b, col, ValueAt(a, col))) return false;
+    if (!CellsEqual(a, b, col)) return false;
+  }
+  return true;
+}
+
+bool Relation::SameKey(size_t a, size_t b) const {
+  if (!schema_->has_key()) return RowsEqual(a, b);
+  for (size_t col : schema_->key_positions()) {
+    if (!CellsEqual(a, b, col)) return false;
   }
   return true;
 }

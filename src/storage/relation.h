@@ -85,8 +85,15 @@ class Relation {
   /// materializing (no string copies).
   bool ValueEquals(size_t row, size_t col, const Value& v) const;
 
+  /// True iff rows `a` and `b` agree on column `col`, compared in place.
+  bool CellsEqual(size_t a, size_t b, size_t col) const;
+
   /// True iff rows `a` and `b` agree on every column.
   bool RowsEqual(size_t a, size_t b) const;
+
+  /// True iff rows `a` and `b` have equal keys (equal tuples when the
+  /// relation has no key), i.e. lie in one block of the BlockIndex.
+  bool SameKey(size_t a, size_t b) const;
 
   // --- Mutation ---------------------------------------------------------
 

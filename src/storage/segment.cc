@@ -1,6 +1,7 @@
 #include "storage/segment.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/macros.h"
 
@@ -37,30 +38,40 @@ Value ColumnRun::ValueAt(size_t i) const {
 
 namespace {
 
-/// Builds a sorted duplicate-free dictionary plus per-row codes.
+/// Row ids of `values` in ascending value order, plus the number of
+/// distinct values. This single index sort is all a seal needs: the
+/// distinct count picks the encoding, and one walk over the order yields
+/// the sorted dictionary and every row's code.
 template <typename T>
-void BuildDictionary(const std::vector<T>& values, std::vector<T>* dict,
-                     std::vector<uint32_t>* codes) {
-  *dict = values;
-  std::sort(dict->begin(), dict->end());
-  dict->erase(std::unique(dict->begin(), dict->end()), dict->end());
-  // The erase keeps the full-column allocation; a low-cardinality
-  // dictionary must not pin rows*sizeof(T) of dead capacity.
-  dict->shrink_to_fit();
-  codes->reserve(values.size());
-  for (const T& v : values) {
-    auto it = std::lower_bound(dict->begin(), dict->end(), v);
-    codes->push_back(static_cast<uint32_t>(it - dict->begin()));
+std::vector<uint32_t> SortedOrder(const std::vector<T>& values,
+                                  size_t* distinct) {
+  std::vector<uint32_t> order(values.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return values[a] < values[b];
+  });
+  *distinct = values.empty() ? 0 : 1;
+  for (size_t i = 1; i < order.size(); ++i) {
+    if (values[order[i - 1]] < values[order[i]]) ++*distinct;
   }
+  return order;
 }
 
-/// Number of distinct values (sort-based, consumes a scratch copy).
+/// Builds the sorted duplicate-free dictionary and per-row codes from the
+/// order SortedOrder returned. Dictionary entries are copies, so their
+/// capacity is exactly their length.
 template <typename T>
-size_t CountDistinct(const std::vector<T>& values) {
-  std::vector<T> scratch = values;
-  std::sort(scratch.begin(), scratch.end());
-  return static_cast<size_t>(
-      std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+void BuildDictionary(const std::vector<T>& values,
+                     const std::vector<uint32_t>& order, size_t distinct,
+                     std::vector<T>* dict, std::vector<uint32_t>* codes) {
+  dict->reserve(distinct);
+  codes->resize(values.size());
+  for (uint32_t row : order) {
+    if (dict->empty() || dict->back() < values[row]) {
+      dict->push_back(values[row]);
+    }
+    (*codes)[row] = static_cast<uint32_t>(dict->size() - 1);
+  }
 }
 
 }  // namespace
@@ -69,10 +80,11 @@ Segment Segment::SealInts(std::vector<int64_t> values) {
   Segment s;
   s.type_ = ValueType::kInt;
   s.size_ = values.size();
-  size_t distinct = values.empty() ? 0 : CountDistinct(values);
+  size_t distinct = 0;
+  const std::vector<uint32_t> order = SortedOrder(values, &distinct);
   if (!values.empty() && 2 * distinct <= values.size()) {
     s.encoding_ = SegmentEncoding::kDictionary;
-    BuildDictionary(values, &s.int_dict_, &s.codes_);
+    BuildDictionary(values, order, distinct, &s.int_dict_, &s.codes_);
   } else {
     s.encoding_ = SegmentEncoding::kPlain;
     s.ints_ = std::move(values);
@@ -93,10 +105,11 @@ Segment Segment::SealStrings(std::vector<std::string> values) {
   Segment s;
   s.type_ = ValueType::kString;
   s.size_ = values.size();
-  size_t distinct = values.empty() ? 0 : CountDistinct(values);
+  size_t distinct = 0;
+  const std::vector<uint32_t> order = SortedOrder(values, &distinct);
   if (!values.empty() && distinct < values.size()) {
     s.encoding_ = SegmentEncoding::kDictionary;
-    BuildDictionary(values, &s.string_dict_, &s.codes_);
+    BuildDictionary(values, order, distinct, &s.string_dict_, &s.codes_);
   } else {
     s.encoding_ = SegmentEncoding::kPlain;
     s.strings_ = std::move(values);
@@ -106,18 +119,13 @@ Segment Segment::SealStrings(std::vector<std::string> values) {
 
 Value Segment::GetValue(size_t i) const {
   CQA_DCHECK(i < size_);
-  if (encoding_ == SegmentEncoding::kDictionary) {
-    uint32_t code = codes_[i];
-    if (type_ == ValueType::kInt) return Value(int_dict_[code]);
-    return Value(string_dict_[code]);
-  }
   switch (type_) {
     case ValueType::kInt:
-      return Value(ints_[i]);
+      return Value(IntAt(i));
     case ValueType::kDouble:
-      return Value(doubles_[i]);
+      return Value(DoubleAt(i));
     case ValueType::kString:
-      return Value(strings_[i]);
+      return Value(StringAt(i));
   }
   return Value();
 }
@@ -125,18 +133,13 @@ Value Segment::GetValue(size_t i) const {
 bool Segment::ValueEquals(size_t i, const Value& v) const {
   CQA_DCHECK(i < size_);
   if (v.type() != type_) return false;
-  if (encoding_ == SegmentEncoding::kDictionary) {
-    uint32_t code = codes_[i];
-    if (type_ == ValueType::kInt) return int_dict_[code] == v.AsInt();
-    return string_dict_[code] == v.AsString();
-  }
   switch (type_) {
     case ValueType::kInt:
-      return ints_[i] == v.AsInt();
+      return IntAt(i) == v.AsInt();
     case ValueType::kDouble:
-      return doubles_[i] == v.AsDouble();
+      return DoubleAt(i) == v.AsDouble();
     case ValueType::kString:
-      return strings_[i] == v.AsString();
+      return StringAt(i) == v.AsString();
   }
   return false;
 }

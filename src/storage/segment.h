@@ -75,6 +75,19 @@ class Segment {
   /// Materializes the value at index `i`.
   Value GetValue(size_t i) const;
 
+  /// The value at index `i` read in place; the segment's type must match
+  /// the accessor.
+  int64_t IntAt(size_t i) const {
+    return encoding_ == SegmentEncoding::kDictionary ? int_dict_[codes_[i]]
+                                                     : ints_[i];
+  }
+  double DoubleAt(size_t i) const { return doubles_[i]; }
+  const std::string& StringAt(size_t i) const {
+    return encoding_ == SegmentEncoding::kDictionary
+               ? string_dict_[codes_[i]]
+               : strings_[i];
+  }
+
   /// Compares the value at index `i` against `v` without materializing
   /// (no string copies; dictionary lookups touch the dict entry in place).
   bool ValueEquals(size_t i, const Value& v) const;

@@ -96,6 +96,11 @@ struct BadCase {
   const char* reason;
 };
 
+// Without this, gtest prints a BadCase as the raw bytes of its two
+// pointers, so the test names CTest derives from it change with every
+// address-space layout.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.reason; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(ParserErrorTest, RejectsMalformedInput) {

@@ -87,6 +87,53 @@ TEST(JsonTest, IntegersPrintExactly) {
   EXPECT_EQ(v.Serialize(), "123456789012");
 }
 
+TEST(JsonTest, IntegerLiteralsStayExactUpTo64Bits) {
+  for (const char* literal :
+       {"0", "9007199254740993", "18446744073709551615"}) {
+    JsonValue v;
+    std::string error;
+    ASSERT_TRUE(JsonValue::Parse(literal, &v, &error)) << error;
+    EXPECT_TRUE(v.is_exact_uint64()) << literal;
+    EXPECT_EQ(v.AsUint64(0), std::stoull(literal)) << literal;
+    EXPECT_EQ(v.Serialize(), literal);
+  }
+  // Beyond 2^64 - 1, negative or fractional: only the double remains.
+  for (const char* literal : {"18446744073709551616", "-3", "2.5", "1e3"}) {
+    JsonValue v;
+    std::string error;
+    ASSERT_TRUE(JsonValue::Parse(literal, &v, &error)) << error;
+    EXPECT_FALSE(v.is_exact_uint64()) << literal;
+  }
+  JsonValue big = JsonValue::MakeUint64(UINT64_MAX);
+  EXPECT_EQ(big.Serialize(), "18446744073709551615");
+  EXPECT_EQ(JsonValue::MakeNumber(-3.0).AsUint64(7), 7u);
+  EXPECT_EQ(JsonValue::MakeNumber(1e3).AsUint64(7), 1000u);
+}
+
+TEST(RequestCodecTest, SeedAbove53BitsSurvivesBothCodecs) {
+  Request request;
+  request.op = "query";
+  request.data = "/data";
+  request.query = "Q(N) :- item(I, N).";
+  request.seed = (uint64_t{1} << 53) + 1;  // The first integer a double rounds.
+  request.trace_id = "t";
+  request.trace_parent = UINT64_MAX;
+  ErrorCode code = ErrorCode::kOk;
+  std::string error;
+  Request json;
+  ASSERT_TRUE(Request::FromJsonPayload(request.ToJsonPayload(), &json, &code,
+                                       &error))
+      << error;
+  Request binary;
+  ASSERT_TRUE(Request::FromBinaryPayload(request.ToBinaryPayload(), &binary,
+                                         &code, &error))
+      << error;
+  EXPECT_EQ(json.seed, request.seed);
+  EXPECT_EQ(binary.seed, request.seed);
+  EXPECT_EQ(json.trace_parent, request.trace_parent);
+  EXPECT_EQ(binary.trace_parent, request.trace_parent);
+}
+
 TEST(JsonTest, UnicodeEscapesDecodeToUtf8) {
   JsonValue v;
   std::string error;

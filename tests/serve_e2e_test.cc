@@ -779,5 +779,35 @@ TEST_F(ServeE2eTest, BinaryCodecAnswersMatchJsonBitForBit) {
   server.Wait();
 }
 
+TEST_F(ServeE2eTest, SeedAbove53BitsMatchesLocalRunOnBothCodecs) {
+  // 2^53 + 1 is the first seed a double cannot hold: a codec that carried
+  // it as a double would run seed 2^53 instead.
+  const uint64_t seed = (uint64_t{1} << 53) + 1;
+  const std::map<std::string, double> expected = LocalAnswers("KL", seed);
+  ASSERT_NE(expected, LocalAnswers("KL", seed - 1))
+      << "the two seeds must be told apart by their answers";
+
+  CqadServer server(ServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  for (WireCodec codec : {WireCodec::kJson, WireCodec::kBinary}) {
+    SCOPED_TRACE(codec == WireCodec::kJson ? "json" : "binary");
+    CqaClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+    client.set_codec(codec);
+    Response response;
+    ASSERT_TRUE(client.Call(MakeQueryRequest("KL", seed), &response, &error))
+        << error;
+    ASSERT_TRUE(response.ok()) << response.error;
+    std::map<std::string, double> served;
+    for (const ResponseAnswer& a : response.answers) {
+      served[a.tuple] = a.frequency;
+    }
+    EXPECT_EQ(served, expected);
+  }
+  server.RequestDrain();
+  server.Wait();
+}
+
 }  // namespace
 }  // namespace cqa::serve
